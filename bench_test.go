@@ -22,7 +22,8 @@ import (
 // corresponding experiment driver and reports the experiment's headline
 // error statistics as custom metrics, so `go test -bench` output doubles as
 // a results table. The quick configuration (trimmed rank ladders) keeps a
-// full -bench=. pass in CI time; run cmd/siesta-bench for the full ladders.
+// full -bench=. pass in CI time; run `go run ./cmd/siesta bench -exp all` for
+// the full ladders.
 
 var benchCfg = experiments.Config{Quick: true, Seed: 1}
 

@@ -18,8 +18,8 @@
 // Entry points:
 //
 //   - internal/core.Synthesize — the full pipeline as a library call
-//   - cmd/siesta — trace + generate + report CLI
-//   - cmd/siesta-bench — regenerate every table and figure of the paper
+//   - cmd/siesta — trace + generate + report CLI; `siesta bench -exp`
+//     regenerates every table and figure of the paper
 //   - cmd/siesta-trace — trace inspection
 //   - examples/ — runnable scenarios
 //

@@ -118,6 +118,18 @@ func quantize(v float64) float64 {
 	return q
 }
 
+// searchKey is the memo key for target against the B matrix hashed as bh,
+// plus the quantized target the search solves on.
+func searchKey(bh [32]byte, target perfmodel.Counters) (memoKey, perfmodel.Counters) {
+	var qt perfmodel.Counters
+	key := memoKey{bm: bh}
+	for i, v := range target {
+		qt[i] = quantize(v)
+		key.target[i] = math.Float64bits(qt[i])
+	}
+	return key, qt
+}
+
 // CachedSearch is Search behind the memo: the target is quantized, looked
 // up, and solved on a miss. A nil memo uses DefaultMemo. Errors are cached
 // too — a target the QP cannot fit will not fit on retry either.
@@ -125,12 +137,7 @@ func CachedSearch(m *Memo, bm *qp.Matrix, target perfmodel.Counters) (Combinatio
 	if m == nil {
 		m = DefaultMemo
 	}
-	var qt perfmodel.Counters
-	key := memoKey{bm: hashB(bm)}
-	for i, v := range target {
-		qt[i] = quantize(v)
-		key.target[i] = math.Float64bits(qt[i])
-	}
+	key, qt := searchKey(hashB(bm), target)
 
 	m.mu.Lock()
 	if el, ok := m.byKey[key]; ok {

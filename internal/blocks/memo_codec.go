@@ -9,6 +9,8 @@ package blocks
 import (
 	"fmt"
 
+	"siesta/internal/perfmodel"
+	"siesta/internal/qp"
 	"siesta/internal/trace"
 )
 
@@ -16,16 +18,27 @@ import (
 // by an incompatible build fails to import and the caller recomputes.
 const memoSnapshotMagic = "SIESTA-MEMO1"
 
-// Export snapshots the memo's successfully solved entries in the shared
-// compact binary format, least recently used first (so importing into a
-// bounded memo evicts in the same order the source would have). Errored
-// entries are skipped: re-deriving an error is cheap and keeps snapshots
-// free of stale failure modes.
-func (m *Memo) Export() []byte {
+// ExportFor snapshots the solved entries for the given targets against bm
+// — one synthesis's searches — in the shared compact binary format, in
+// order of first appearance. A process-global memo shared by many
+// syntheses thus yields a snapshot sized by this synthesis, not by the
+// memo's history. Targets whose entry is absent (never solved, evicted, or
+// errored — re-deriving an error is cheap and keeps snapshots free of
+// stale failure modes) are left out; importing the snapshot then simply
+// re-solves them.
+func (m *Memo) ExportFor(bm *qp.Matrix, targets []perfmodel.Counters) []byte {
+	bh := hashB(bm)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var entries []*memoEntry
-	for el := m.lru.Back(); el != nil; el = el.Prev() {
+	entries := make([]*memoEntry, 0, len(targets))
+	seen := make(map[memoKey]bool, len(targets))
+	for _, t := range targets {
+		key, _ := searchKey(bh, t)
+		el, ok := m.byKey[key]
+		if !ok || seen[key] {
+			continue
+		}
+		seen[key] = true
 		if e := el.Value.(*memoEntry); e.err == nil {
 			entries = append(entries, e)
 		}
@@ -45,7 +58,7 @@ func (m *Memo) Export() []byte {
 	return e.Bytes()
 }
 
-// Import merges a snapshot produced by Export into the memo, skipping keys
+// Import merges a snapshot produced by ExportFor into the memo, skipping keys
 // already present, and reports how many entries were added. A malformed
 // snapshot returns an error with nothing guaranteed about partial
 // insertion — safe either way, since entries are pure.

@@ -27,10 +27,15 @@ func fillMemo(t *testing.T, m *Memo) []perfmodel.Counters {
 	return targets
 }
 
+// exportAll snapshots every entry fillMemo solved.
+func exportAll(m *Memo, targets []perfmodel.Counters) []byte {
+	return m.ExportFor(MeasureB(platform.A, nil), targets)
+}
+
 func TestMemoExportImportRoundTrip(t *testing.T) {
 	src := NewMemo(16)
 	targets := fillMemo(t, src)
-	snap := src.Export()
+	snap := exportAll(src, targets)
 
 	dst := NewMemo(16)
 	added, err := dst.Import(snap)
@@ -72,15 +77,14 @@ func TestMemoExportImportRoundTrip(t *testing.T) {
 	}
 
 	// Export is deterministic for the same contents.
-	if !bytes.Equal(src.Export(), src.Export()) {
-		t.Fatal("Export is not deterministic")
+	if !bytes.Equal(exportAll(src, targets), exportAll(src, targets)) {
+		t.Fatal("ExportFor is not deterministic")
 	}
 }
 
 func TestMemoImportRejectsCorruption(t *testing.T) {
 	src := NewMemo(16)
-	fillMemo(t, src)
-	snap := src.Export()
+	snap := exportAll(src, fillMemo(t, src))
 
 	if _, err := NewMemo(16).Import([]byte("not a snapshot")); err == nil {
 		t.Fatal("garbage imported")
@@ -110,8 +114,7 @@ func TestMemoImportRejectsCorruption(t *testing.T) {
 
 func TestMemoImportRespectsCap(t *testing.T) {
 	src := NewMemo(16)
-	fillMemo(t, src)
-	snap := src.Export()
+	snap := exportAll(src, fillMemo(t, src))
 
 	small := NewMemo(2)
 	if _, err := small.Import(snap); err != nil {
@@ -119,5 +122,39 @@ func TestMemoImportRespectsCap(t *testing.T) {
 	}
 	if small.Len() > 2 {
 		t.Fatalf("capped memo holds %d entries, cap 2", small.Len())
+	}
+}
+
+// ExportFor writes only the requested targets' entries — deduplicated,
+// absent ones skipped — in the snapshot format Import reads.
+func TestMemoExportForScopesSnapshot(t *testing.T) {
+	src := NewMemo(16)
+	targets := fillMemo(t, src)
+	bm := MeasureB(platform.A, nil)
+	unsolved := perfmodel.Counters{7e8, 3e8, 1e8, 5e6, 3e6, 1e5}
+	snap := src.ExportFor(bm, []perfmodel.Counters{targets[2], unsolved, targets[0], targets[2]})
+
+	dst := NewMemo(16)
+	added, err := dst.Import(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added != 2 {
+		t.Fatalf("imported %d entries, want 2 (targets 0 and 2)", added)
+	}
+	for _, i := range []int{0, 2} {
+		want, _ := CachedSearch(src, bm, targets[i])
+		got, _ := CachedSearch(dst, bm, targets[i])
+		if got != want {
+			t.Errorf("target %d: imported %v, source %v", i, got, want)
+		}
+	}
+	if hits, _ := dst.Stats(); hits != 2 {
+		t.Errorf("imported entries answered %d lookups, want 2", hits)
+	}
+	// A different B matrix keys different entries: nothing to export.
+	other := MeasureB(platform.A, perfmodel.NewNoise(0.01, 7))
+	if n, _ := NewMemo(16).Import(src.ExportFor(other, targets)); n != 0 {
+		t.Errorf("snapshot under a foreign B matrix holds %d entries, want 0", n)
 	}
 }

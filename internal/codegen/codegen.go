@@ -263,6 +263,21 @@ func maxFloat(a, b float64) float64 {
 	return b
 }
 
+// SearchTargets returns the computation-proxy search target of every
+// cluster of prog, in cluster order, at shrink factor scale (0 or 1 =
+// unscaled): the vectors Generate solves for, and so the keys a search
+// memo holds for this program.
+func SearchTargets(prog *merge.Program, scale float64) []perfmodel.Counters {
+	out := make([]perfmodel.Counters, len(prog.Clusters))
+	for i, cl := range prog.Clusters {
+		out[i] = cl.Target()
+		if scale > 0 && scale != 1 {
+			out[i] = out[i].Scale(1 / scale)
+		}
+	}
+	return out
+}
+
 // Generate runs the full code-generation stage.
 func Generate(prog *merge.Program, opts Options) (*Generated, error) {
 	if opts.Platform == nil {
@@ -285,17 +300,13 @@ func Generate(prog *merge.Program, opts Options) (*Generated, error) {
 	}
 	g.Combos = make([]blocks.Combination, len(prog.Clusters))
 	g.SleepTimes = make([]float64, len(prog.Clusters))
-	for i, cl := range prog.Clusters {
-		target := cl.Target()
-		if opts.Scale != 1 {
-			target = target.Scale(1 / opts.Scale)
-		}
+	for i, target := range SearchTargets(prog, opts.Scale) {
 		combo, err := blocks.CachedSearch(opts.SearchMemo, bm, target)
 		if err != nil {
 			return nil, fmt.Errorf("codegen: cluster %d: %w", i, err)
 		}
 		g.Combos[i] = combo
-		g.SleepTimes[i] = cl.MeanTime() / opts.Scale
+		g.SleepTimes[i] = prog.Clusters[i].MeanTime() / opts.Scale
 	}
 
 	// Communication shrinking (§2.7): fit blocking-call time against

@@ -11,9 +11,10 @@ import (
 // Pipeline phase markers a Checkpoint can carry, in pipeline order. Each
 // names the *last completed* boundary: a PhaseTrace checkpoint lets a
 // restarted run skip both simulated executions, PhaseMerge additionally
-// skips grammar merging and static verification, and PhaseSearch carries
-// the solved computation-proxy searches so code generation replays them
-// from cache instead of re-solving the QPs.
+// skips grammar merging, and PhaseSearch carries this synthesis's solved
+// computation-proxy searches so code generation replays them from cache
+// instead of re-solving the QPs. A run whose input is a trace or a
+// streaming session writes only the merge and search boundaries.
 const (
 	PhaseTrace  = "trace"
 	PhaseMerge  = "merge"
@@ -40,7 +41,7 @@ func phaseRank(p string) int {
 // essence (encoded trace, encoded program, solved searches) plus the
 // options fingerprint that proves which synthesis it belongs to. All
 // payloads reuse the existing canonical codecs (trace.Trace.Encode,
-// merge.Program.Encode, blocks.Memo.Export), so checkpointed and
+// merge.Program.Encode, blocks.Memo.ExportFor), so checkpointed and
 // uninterrupted runs flow through byte-identical representations.
 type Checkpoint struct {
 	// Fingerprint is OptionsFingerprint of the run that wrote the
@@ -54,15 +55,16 @@ type Checkpoint struct {
 	// Overhead is Result.Overhead, which only the simulated runs can
 	// measure; it rides along so resumed results report it faithfully.
 	Overhead float64
-	// TraceBytes is the encoded trace (set from PhaseTrace on).
+	// TraceBytes is the encoded trace (set from PhaseTrace on, and only by
+	// a run that recorded the trace itself).
 	TraceBytes []byte
 	// ProgramBytes is the encoded merged program (set from PhaseMerge on).
 	ProgramBytes []byte
 	// CheckSummary is the static verifier's verdict for the merged
 	// program (set with ProgramBytes when verification ran).
 	CheckSummary string
-	// MemoBytes is a blocks.Memo snapshot of solved computation-proxy
-	// searches (set at PhaseSearch).
+	// MemoBytes is a blocks.Memo snapshot of this synthesis's solved
+	// computation-proxy searches (set at PhaseSearch).
 	MemoBytes []byte
 }
 
@@ -153,30 +155,44 @@ func (cp *Checkpoint) Equal(o *Checkpoint) bool {
 
 // validateResume decides how much of a resume checkpoint is usable for a
 // run whose options fingerprint is fp. It decodes the payloads eagerly so
-// corruption is discovered here, not mid-pipeline: a fingerprint mismatch
-// or an undecodable trace rejects the checkpoint outright (clean
-// recompute); an undecodable program with an intact trace degrades to a
-// post-trace resume. The returned checkpoint is what the run actually
-// honors.
-func validateResume(cp *Checkpoint, fp string) (*Checkpoint, *trace.Trace, *merge.Program) {
-	if cp == nil || cp.Fingerprint != fp || !cp.covers(PhaseTrace) {
+// corruption is discovered here, not mid-pipeline. What a checkpoint must
+// hold follows the input: a run that records its own trace (recorded)
+// needs the encoded trace, from PhaseTrace on; a run handed its trace or
+// stream needs only the encoded program, from PhaseMerge on. A
+// fingerprint mismatch or a missing or undecodable required payload
+// rejects the checkpoint outright (clean recompute); for a recorded run,
+// an undecodable program with an intact trace degrades to a post-trace
+// resume. The returned checkpoint is what the run actually honors.
+func validateResume(cp *Checkpoint, fp string, recorded bool) (*Checkpoint, *trace.Trace, *merge.Program) {
+	if cp == nil || cp.Fingerprint != fp {
 		return nil, nil, nil
 	}
-	t, err := trace.Decode(cp.TraceBytes)
-	if err != nil {
+	var t *trace.Trace
+	if recorded {
+		if !cp.covers(PhaseTrace) {
+			return nil, nil, nil
+		}
+		var err error
+		if t, err = trace.Decode(cp.TraceBytes); err != nil {
+			return nil, nil, nil
+		}
+		if !cp.covers(PhaseMerge) {
+			return cp, t, nil
+		}
+	} else if !cp.covers(PhaseMerge) {
 		return nil, nil, nil
-	}
-	if !cp.covers(PhaseMerge) {
-		return cp, t, nil
 	}
 	p, err := merge.Decode(cp.ProgramBytes)
-	if err != nil {
+	switch {
+	case err == nil:
+		return cp, t, p
+	case recorded:
 		d := cp.clone()
 		d.Phase = PhaseTrace
 		d.ProgramBytes, d.MemoBytes, d.CheckSummary = nil, nil, ""
 		return d, t, nil
 	}
-	return cp, t, p
+	return nil, nil, nil
 }
 
 // Checkpointer persists checkpoints at phase boundaries. Save is called on

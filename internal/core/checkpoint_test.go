@@ -14,6 +14,7 @@ import (
 	"siesta/internal/apps"
 	"siesta/internal/blocks"
 	"siesta/internal/core"
+	"siesta/internal/mpi"
 )
 
 // memCheckpointer records every checkpoint in memory and can be told to
@@ -257,5 +258,156 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	bad.Phase = "lunch"
 	if _, err := core.DecodeCheckpoint(bad.Encode()); err == nil {
 		t.Fatal("unknown phase accepted")
+	}
+}
+
+// Trace and ingest inputs write the post-merge and post-search boundaries
+// only, program-only (the caller holds the trace); resuming either input
+// from either boundary must reproduce the uninterrupted output byte for
+// byte. The ingest rows feed a fresh session per run, as a restarted
+// service would receive the streams again.
+func TestResumeTraceAndIngestInputsFromEveryBoundary(t *testing.T) {
+	spec, err := apps.ByName("CG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ranks = 8
+	fn, err := spec.Build(apps.Params{Ranks: ranks, Iters: 2, WorkScale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := core.Synthesize(fn, synthOpts(ranks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := rec.Trace
+
+	inputs := map[string]func(opts core.Options) (*core.Result, error){
+		"trace": func(opts core.Options) (*core.Result, error) {
+			return core.SynthesizeTrace(tr, opts)
+		},
+		"ingest": func(opts core.Options) (*core.Result, error) {
+			in, err := core.NewIngest(ranks, opts)
+			if err != nil {
+				return nil, err
+			}
+			streamTrace(t, in, tr, 97, nil)
+			return core.SynthesizeIngest(in, opts)
+		},
+	}
+	for _, name := range []string{"trace", "ingest"} {
+		synth := inputs[name]
+		t.Run(name, func(t *testing.T) {
+			ck := &memCheckpointer{}
+			ctrl := synthOpts(ranks)
+			ctrl.Checkpointer = ck
+			ctrl.SearchMemo = blocks.NewMemo(0)
+			ref, err := synth(ctrl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ck.saved) != 2 || ck.at(core.PhaseMerge) == nil || ck.at(core.PhaseSearch) == nil {
+				t.Fatalf("wrote %d checkpoints, want the merge and search boundaries", len(ck.saved))
+			}
+			for _, cp := range ck.saved {
+				if len(cp.TraceBytes) != 0 || len(cp.ProgramBytes) == 0 || cp.CheckSummary == "" {
+					t.Errorf("%s checkpoint: %d trace bytes, %d program bytes, summary %q; want program-only with a verdict",
+						cp.Phase, len(cp.TraceBytes), len(cp.ProgramBytes), cp.CheckSummary)
+				}
+			}
+			for _, phase := range []string{core.PhaseMerge, core.PhaseSearch} {
+				opts := synthOpts(ranks)
+				opts.Resume = ck.at(phase)
+				opts.SearchMemo = blocks.NewMemo(0)
+				res, err := synth(opts)
+				if err != nil {
+					t.Fatalf("resume from %s: %v", phase, err)
+				}
+				if res.ResumedFrom != phase {
+					t.Errorf("ResumedFrom = %q, want %q", res.ResumedFrom, phase)
+				}
+				if !bytes.Equal(res.Program.Encode(), ref.Program.Encode()) {
+					t.Errorf("resume from %s: encoded program differs", phase)
+				}
+				if res.Generated.CSource() != ref.Generated.CSource() {
+					t.Errorf("resume from %s: generated C source differs", phase)
+				}
+			}
+
+			// A post-trace checkpoint carries nothing such a run can use:
+			// it recomputes rather than failing.
+			opts := synthOpts(ranks)
+			opts.Resume = &core.Checkpoint{Fingerprint: ck.saved[0].Fingerprint, Phase: core.PhaseTrace}
+			res, err := synth(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ResumedFrom != "" || res.Generated.CSource() != ref.Generated.CSource() {
+				t.Errorf("post-trace checkpoint: ResumedFrom=%q, C equal %t; want a clean recompute",
+					res.ResumedFrom, res.Generated.CSource() == ref.Generated.CSource())
+			}
+		})
+	}
+}
+
+// The post-search snapshot holds this synthesis's solves only, even when
+// the memo it searched through also serves other syntheses.
+func TestSearchCheckpointCarriesOnlyThisSynthesis(t *testing.T) {
+	memo := blocks.NewMemo(0)
+	build := func(name string, ranks int) func(*mpi.Rank) {
+		spec, err := apps.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, err := spec.Build(apps.Params{Ranks: ranks, Iters: 2, WorkScale: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fn
+	}
+	for _, name := range []string{"IS", "MG", "Sweep3d"} {
+		opts := synthOpts(8)
+		opts.SearchMemo = memo
+		if _, err := core.Synthesize(build(name, 8), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ck := &memCheckpointer{}
+	opts := synthOpts(8)
+	opts.SearchMemo = memo
+	opts.Checkpointer = ck
+	res, err := core.Synthesize(build("CG", 8), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := blocks.NewMemo(0)
+	n, err := alone.Import(ck.at(core.PhaseSearch).MemoBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[blocks.Combination]bool{}
+	for _, c := range res.Generated.Combos {
+		distinct[c] = true
+	}
+	if n == 0 || n > len(res.Generated.Combos) || n < len(distinct) {
+		t.Errorf("snapshot holds %d solves; want between %d and %d (this program's clusters)",
+			n, len(distinct), len(res.Generated.Combos))
+	}
+	if n >= memo.Len() {
+		t.Errorf("snapshot holds %d of the shared memo's %d entries; the other syntheses leaked in", n, memo.Len())
+	}
+	// And it still warms a cold resume to the identical output.
+	again := synthOpts(8)
+	again.Resume = ck.at(core.PhaseSearch)
+	again.SearchMemo = blocks.NewMemo(0)
+	r2, err := core.Synthesize(build("CG", 8), again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Generated.CSource() != res.Generated.CSource() {
+		t.Error("resume from the scoped snapshot changed the C source")
+	}
+	if hits, _ := again.SearchMemo.Stats(); hits == 0 {
+		t.Error("scoped snapshot answered no search on resume")
 	}
 }

@@ -188,13 +188,37 @@ type Result struct {
 	ResumedFrom string
 }
 
+// input is what one synthesis starts from; exactly one field is set.
+// Everything after the front half — merge, static check, phase-boundary
+// checkpoints, codegen — is the same code for all three (DESIGN.md §8).
+type input struct {
+	app    func(*mpi.Rank) // run the baseline and traced executions first
+	trace  *trace.Trace    // a recorded trace
+	ingest *merge.Ingest   // a streaming session whose rank streams have ended
+}
+
 // Synthesize runs the full pipeline on the application.
 func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
+	return synthesize(input{app: app}, opts)
+}
+
+// SynthesizeTrace runs the pipeline on a recorded trace: the simulated
+// runs are skipped (Result.BaselineRun and TracedRun stay nil, Overhead
+// 0) and the rank count comes from the trace. Checkpoints carry no trace
+// bytes — the caller holds the input — so a resumed run starts at the
+// post-merge boundary or later.
+func SynthesizeTrace(tr *trace.Trace, opts Options) (*Result, error) {
+	opts.Ranks = len(tr.Ranks)
+	return synthesize(input{trace: tr}, opts)
+}
+
+// synthesize is the one pipeline behind every entry point.
+func synthesize(in input, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Ranks <= 0 {
 		return nil, fmt.Errorf("core: Ranks must be positive")
 	}
-	res := &Result{Opts: opts}
+	res := &Result{Opts: opts, Trace: in.trace}
 	tr := opts.Tracer
 	// cur is the in-flight phase span; phase ends it and opens the next.
 	// All obs methods are nil-receiver safe, and the attribute list is only
@@ -227,8 +251,11 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 	if opts.Checkpointer != nil || opts.Resume != nil {
 		fp = OptionsFingerprint(opts)
 	}
-	resume, resumeTrace, resumeProg := validateResume(opts.Resume, fp)
-	var traceBytes, progBytes []byte // canonical payloads, encoded at most once
+	resume, resumeTrace, resumeProg := validateResume(opts.Resume, fp, in.app != nil)
+	// Canonical payloads, encoded at most once. traceBytes stays nil for
+	// trace and ingest inputs: only a run that recorded its own trace
+	// checkpoints it.
+	var traceBytes, progBytes []byte
 	if resume != nil {
 		traceBytes, progBytes = resume.TraceBytes, resume.ProgramBytes
 	}
@@ -240,7 +267,11 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 		if tr != nil {
 			sp = tr.Phase("checkpoint", obs.String("boundary", boundary))
 		}
-		cp := &Checkpoint{Fingerprint: fp, Phase: boundary, Overhead: res.Overhead}
+		cp := &Checkpoint{Fingerprint: fp, Phase: boundary, Overhead: res.Overhead,
+			TraceBytes: traceBytes, ProgramBytes: progBytes}
+		if res.Check != nil {
+			cp.CheckSummary = res.Check.Summary()
+		}
 		build(cp)
 		err := opts.Checkpointer.Save(cp)
 		if sp != nil {
@@ -257,13 +288,15 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 	var err error
 	// bmatrix is the micro-benchmark B matrix codegen searches against.
 	// Overlapped runs warm it concurrently with the simulations; otherwise
-	// it is measured lazily at the codegen phase. Either way it is the
-	// first (and only) consumer of opts.BenchNoise, so the measured matrix
-	// is identical in both schedules.
+	// it is measured at the codegen phase. Either way it is the first (and
+	// only) consumer of opts.BenchNoise, so the measured matrix is
+	// identical in both schedules.
 	var bmatrix *qp.Matrix
-	if resume != nil {
-		// The simulated executions are already captured in the encoded
-		// trace; restore it and the overhead they measured.
+	switch {
+	case resume != nil:
+		// Whatever the checkpoint covers is restored: for an app input the
+		// encoded trace stands in for both simulated executions, along with
+		// the overhead they measured.
 		if err := phase("resume"); err != nil {
 			return nil, fmt.Errorf("core: resume: %w", err)
 		}
@@ -272,10 +305,12 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 				obs.String("from", resume.Phase),
 				obs.Bool("resumed", true))
 		}
-		res.Trace = resumeTrace
+		if resumeTrace != nil {
+			res.Trace = resumeTrace
+		}
 		res.Overhead = resume.Overhead
 		res.ResumedFrom = resume.Phase
-	} else {
+	case in.app != nil:
 		baseCfg := mpi.Config{
 			Platform: opts.Platform, Impl: opts.Impl, Size: opts.Ranks,
 			NoiseSigma: opts.NoiseSigma, RunVariation: opts.RunVariation, Seed: opts.Seed,
@@ -326,7 +361,7 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 				defer wg.Done()
 				defer baseSpan.End()
 				var e error
-				if res.BaselineRun, e = mpi.NewWorld(baseCfg).Run(app); e != nil {
+				if res.BaselineRun, e = mpi.NewWorld(baseCfg).Run(in.app); e != nil {
 					baseErr = fmt.Errorf("core: baseline run: %w", e)
 				}
 			}()
@@ -334,7 +369,7 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 				defer wg.Done()
 				defer traceSpan.End()
 				var e error
-				if res.TracedRun, e = mpi.NewWorld(tracedCfg).Run(app); e != nil {
+				if res.TracedRun, e = mpi.NewWorld(tracedCfg).Run(in.app); e != nil {
 					traceErr = fmt.Errorf("core: traced run: %w", e)
 					return
 				}
@@ -366,7 +401,7 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 				return nil, fmt.Errorf("core: baseline run: %w", err)
 			}
 			base := mpi.NewWorld(baseCfg)
-			if res.BaselineRun, err = base.Run(app); err != nil {
+			if res.BaselineRun, err = base.Run(in.app); err != nil {
 				return nil, fmt.Errorf("core: baseline run: %w", err)
 			}
 
@@ -375,7 +410,7 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 				return nil, fmt.Errorf("core: traced run: %w", err)
 			}
 			traced := mpi.NewWorld(tracedCfg)
-			if res.TracedRun, err = traced.Run(app); err != nil {
+			if res.TracedRun, err = traced.Run(in.app); err != nil {
 				return nil, fmt.Errorf("core: traced run: %w", err)
 			}
 			res.Overhead = relDiff(float64(res.TracedRun.ExecTime), float64(res.BaselineRun.ExecTime))
@@ -402,7 +437,12 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 		if err := phase("merge"); err != nil {
 			return nil, fmt.Errorf("core: merge: %w", err)
 		}
-		if res.Program, err = merge.Build(res.Trace, opts.Merge); err != nil {
+		if in.ingest != nil {
+			res.Program, err = in.ingest.Build()
+		} else {
+			res.Program, err = merge.Build(res.Trace, opts.Merge)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("core: merge: %w", err)
 		}
 	}
@@ -437,14 +477,8 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 	}
 	if resumeProg == nil {
 		if err := save(PhaseMerge, func(cp *Checkpoint) {
-			if traceBytes == nil {
-				traceBytes = res.Trace.Encode()
-			}
 			progBytes = res.Program.Encode()
-			cp.TraceBytes, cp.ProgramBytes = traceBytes, progBytes
-			if res.Check != nil {
-				cp.CheckSummary = res.Check.Summary()
-			}
+			cp.ProgramBytes = progBytes
 		}); err != nil {
 			return nil, err
 		}
@@ -454,10 +488,10 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 	// every cluster's QP solve is a cache hit; memo purity guarantees the
 	// replayed solutions are byte-identical to cold ones.
 	memo := opts.SearchMemo
+	if memo == nil {
+		memo = blocks.DefaultMemo
+	}
 	if resume.covers(PhaseSearch) && len(resume.MemoBytes) > 0 {
-		if memo == nil {
-			memo = blocks.DefaultMemo
-		}
 		// An undecodable snapshot degrades to cold solves; results are
 		// unchanged either way.
 		memo.Import(resume.MemoBytes)
@@ -465,11 +499,13 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 	if err := phase("codegen"); err != nil {
 		return nil, fmt.Errorf("core: generate: %w", err)
 	}
+	if bmatrix == nil {
+		bmatrix = blocks.MeasureB(opts.Platform, opts.BenchNoise)
+	}
 	genOpts := codegen.Options{
 		Platform:   opts.Platform,
 		Scale:      opts.Scale,
-		BenchNoise: opts.BenchNoise,
-		BMatrix:    bmatrix, // non-nil after an overlapped run's warmup
+		BMatrix:    bmatrix,
 		SearchMemo: memo,
 		Check:      res.Check,
 	}
@@ -483,22 +519,10 @@ func Synthesize(app func(*mpi.Rank), opts Options) (*Result, error) {
 		cur.SetAttrs(obs.Int("size_c", res.Generated.SizeC))
 	}
 	if !resume.covers(PhaseSearch) {
+		// Only this synthesis's solves: a process-global memo's other
+		// entries would grow every snapshot with the service's history.
 		if err := save(PhaseSearch, func(cp *Checkpoint) {
-			if traceBytes == nil {
-				traceBytes = res.Trace.Encode()
-			}
-			if progBytes == nil {
-				progBytes = res.Program.Encode()
-			}
-			cp.TraceBytes, cp.ProgramBytes = traceBytes, progBytes
-			if res.Check != nil {
-				cp.CheckSummary = res.Check.Summary()
-			}
-			m := memo
-			if m == nil {
-				m = blocks.DefaultMemo
-			}
-			cp.MemoBytes = m.Export()
+			cp.MemoBytes = memo.ExportFor(bmatrix, codegen.SearchTargets(res.Program, opts.Scale))
 		}); err != nil {
 			return nil, err
 		}

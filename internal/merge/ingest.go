@@ -53,6 +53,9 @@ type Ingest struct {
 	mu     sync.Mutex
 	built  bool
 	closed bool
+	// prog and err are Build's result, returned again by repeat calls.
+	prog *Program
+	err  error
 
 	// reinferred counts ranks whose grammars went through the expand +
 	// re-infer fallback at Build (leaf→root map not injective). Exposed for
@@ -133,6 +136,11 @@ func (in *Ingest) Close() error {
 	in.seal()
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	return in.closeLocked()
+}
+
+// closeLocked releases the spill files once. Caller holds in.mu.
+func (in *Ingest) closeLocked() error {
 	if in.closed {
 		return nil
 	}
@@ -151,18 +159,28 @@ func (in *Ingest) Close() error {
 // where the reduction collapsed a rank's terminals, re-infers) each
 // rank's grammar onto global ids, and assembles the Program through the
 // same back half batch Build uses. The session's spill files are released
-// before Build returns, success or not; Build can run at most once.
+// before Build returns, success or not. The reduction runs at most once:
+// repeat calls return the first call's program and error, so a caller
+// retrying a later pipeline step never rebuilds a consumed session. Build
+// on a session closed without building fails.
 func (in *Ingest) Build() (*Program, error) {
 	in.seal()
 	in.mu.Lock()
-	if in.built || in.closed {
-		in.mu.Unlock()
-		return nil, fmt.Errorf("merge: ingest session already %s", map[bool]string{true: "built", false: "closed"}[in.built])
+	defer in.mu.Unlock()
+	if in.built {
+		return in.prog, in.err
+	}
+	if in.closed {
+		return nil, fmt.Errorf("merge: ingest session already closed")
 	}
 	in.built = true
-	in.mu.Unlock()
-	defer in.Close()
+	in.prog, in.err = in.build()
+	in.closeLocked()
+	return in.prog, in.err
+}
 
+// build is Build's reduction; it runs once, under in.mu.
+func (in *Ingest) build() (*Program, error) {
 	opts := in.opts
 	par := opts.Parallelism
 	for _, ri := range in.ranks {

@@ -337,11 +337,13 @@ func TestIngestErrors(t *testing.T) {
 
 	t.Run("double build", func(t *testing.T) {
 		in := feedIngest(t, tr, Options{}, 0, nil)
-		if _, err := in.Build(); err != nil {
+		first, err := in.Build()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := in.Build(); err == nil {
-			t.Fatal("second Build should fail")
+		again, err := in.Build()
+		if err != nil || again != first {
+			t.Fatalf("second Build = %p, %v; want the first result %p", again, err, first)
 		}
 	})
 }

@@ -154,6 +154,7 @@ func (s *Server) registerRecoveredDone(jb *job, enqueued time.Time) {
 	jb.status = StatusDone
 	jb.cached = true
 	jb.created, jb.started, jb.finished = enqueued, now, now
+	jb.releaseInputsLocked() // not yet shared
 	if jb.created.IsZero() {
 		jb.created = now
 	}

@@ -13,6 +13,7 @@ import (
 	"siesta/internal/apps"
 	"siesta/internal/core"
 	"siesta/internal/netmodel"
+	"siesta/internal/perfmodel"
 	"siesta/internal/platform"
 	"siesta/internal/server/cache"
 	"siesta/internal/trace"
@@ -176,6 +177,18 @@ func baseOptions(req *SynthesizeRequest) (core.Options, error) {
 	return opts, nil
 }
 
+// traceInputOptions completes the options of a trace input — a
+// trace_base64 upload or a streamed one: the service synthesizes those
+// against the exact micro-benchmark B matrix (no counter noise), and
+// stating it in the options puts it in the fingerprint, so the cache key
+// describes the bytes produced. Shared by prepare, RequestKey and
+// ingestOptions.
+func traceInputOptions(opts core.Options, ranks int) core.Options {
+	opts.Ranks = ranks
+	opts.BenchNoise = perfmodel.NewNoise(0, 0)
+	return opts
+}
+
 // appCacheKey derives the artifact key for a built-in-app request. The
 // derivation (sections and their order) is load-bearing: disk artifact
 // tiers and fleet routing both address by it.
@@ -229,8 +242,7 @@ func RequestKey(req *SynthesizeRequest) (cache.Key, error) {
 	if err != nil {
 		return "", fmt.Errorf("trace_base64: %w", err)
 	}
-	opts.Ranks = len(tr.Ranks)
-	return traceCacheKey(raw, opts), nil
+	return traceCacheKey(raw, traceInputOptions(opts, len(tr.Ranks))), nil
 }
 
 // prepare validates a request and turns it into a ready-to-queue job with
@@ -254,10 +266,7 @@ func (s *Server) prepare(req *SynthesizeRequest) (*job, int, error) {
 	if par <= 0 || par > s.cfg.MaxParallelism {
 		par = s.cfg.MaxParallelism
 	}
-	// Set both knobs: core.Synthesize propagates Parallelism into the merge
-	// options itself, but the trace-upload path calls merge.Build directly.
 	opts.Parallelism = par
-	opts.Merge.Parallelism = par
 
 	retries := s.cfg.MaxRetries
 	if req.MaxRetries != nil {
@@ -301,11 +310,14 @@ func (s *Server) prepare(req *SynthesizeRequest) (*job, int, error) {
 			return nil, http.StatusBadRequest, errors.New("ranks must be positive")
 		}
 		opts.Ranks = req.Ranks
-		work, err := s.appWork(spec, apps.Params{Ranks: req.Ranks, Iters: req.Iters}, opts, req.Analyze)
+		fn, err := spec.Build(apps.Params{Ranks: req.Ranks, Iters: req.Iters})
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
-		jb.app, jb.ranks, jb.work = spec.Name, req.Ranks, work
+		jb.app, jb.ranks = spec.Name, req.Ranks
+		jb.work = s.synthWork(spec.Name, func(o core.Options) (*core.Result, error) {
+			return core.Synthesize(fn, o)
+		}, opts, req.Analyze)
 		jb.key = appCacheKey(spec.Name, req.Iters, opts)
 		return jb, 0, nil
 	}
@@ -318,8 +330,11 @@ func (s *Server) prepare(req *SynthesizeRequest) (*job, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("trace_base64: %w", err)
 	}
-	opts.Ranks = len(tr.Ranks)
-	jb.app, jb.ranks, jb.work = "trace", len(tr.Ranks), s.traceWork(tr, opts, req.Analyze)
+	opts = traceInputOptions(opts, len(tr.Ranks))
+	jb.app, jb.ranks = "trace", len(tr.Ranks)
+	jb.work = s.synthWork("trace", func(o core.Options) (*core.Result, error) {
+		return core.SynthesizeTrace(tr, o)
+	}, opts, req.Analyze)
 	jb.key = traceCacheKey(raw, opts)
 	return jb, 0, nil
 }

@@ -14,7 +14,6 @@
 package server
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -29,12 +28,8 @@ import (
 	"sync"
 	"time"
 
-	"siesta/internal/check"
-	"siesta/internal/codegen"
 	"siesta/internal/core"
 	"siesta/internal/merge"
-	"siesta/internal/mpi"
-	"siesta/internal/obs"
 	"siesta/internal/server/cache"
 	"siesta/internal/trace"
 )
@@ -133,9 +128,9 @@ type ingestRank struct {
 }
 
 // ingestOptions builds the synthesis options a session's tuning fields
-// select, through the same baseOptions root as prepare and RequestKey, so
-// streamed and one-shot uploads of the same trace derive identical
-// fingerprints by construction.
+// select, through the same baseOptions and traceInputOptions roots as
+// prepare and RequestKey, so streamed and one-shot uploads of the same
+// trace derive identical fingerprints by construction.
 func ingestOptions(req *TraceOpenRequest) (core.Options, error) {
 	opts, err := baseOptions(&SynthesizeRequest{
 		Platform: req.Platform, Impl: req.Impl, Scale: req.Scale, Seed: req.Seed,
@@ -143,8 +138,7 @@ func ingestOptions(req *TraceOpenRequest) (core.Options, error) {
 	if err != nil {
 		return core.Options{}, err
 	}
-	opts.Ranks = req.NumRanks
-	return opts, nil
+	return traceInputOptions(opts, req.NumRanks), nil
 }
 
 // ingestCacheKey derives the artifact key for a streamed trace from its
@@ -244,7 +238,6 @@ func (s *Server) handleTraceOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	sessOpts := opts // fingerprint source, before throughput knobs land
 	opts.Parallelism = par
-	opts.Merge.Parallelism = par
 	opts.Merge.Spill = trace.SpillConfig{HighWater: req.SpillHighWater}
 	if s.cfg.StateDir != "" {
 		dir := filepath.Join(s.cfg.StateDir, "spill")
@@ -428,12 +421,14 @@ func (s *Server) handleTraceCommit(w http.ResponseWriter, r *http.Request) {
 	reqJSON, _ := json.Marshal(map[string]string{"ingest": sess.id})
 	opts := sess.opts
 	opts.Parallelism = sess.parallelism
-	opts.Merge.Parallelism = sess.parallelism
+	in := sess.in
 	jb := &job{
 		app: "trace", ranks: len(sess.ranks), parallelism: sess.parallelism,
 		key: key, timeout: sess.timeout, wantAnalyze: sess.analyze,
 		maxRetries: sess.retries, reqJSON: reqJSON, worker: s.cfg.WorkerID,
-		work: s.ingestWork(sess.in, opts, sess.analyze),
+		work: s.synthWork("trace", func(o core.Options) (*core.Result, error) {
+			return core.SynthesizeIngest(in, o)
+		}, opts, sess.analyze),
 	}
 	spill := sess.in.SpillStats()
 
@@ -496,118 +491,4 @@ func (s *Server) handleTraceCommit(w http.ResponseWriter, r *http.Request) {
 		},
 		Spill: spill,
 	})
-}
-
-// ingestWork prepares the work function for a committed streaming session:
-// traceWork with the merge phase replaced by Ingest.Build. Build consumes
-// the ingest and may run at most once, so it is memoized across the
-// retry loop — a transient checkpoint failure after a successful build
-// retries codegen against the already-built program.
-func (s *Server) ingestWork(in *merge.Ingest, opts core.Options, analyze bool) workFn {
-	var buildOnce sync.Once
-	var builtProg *merge.Program
-	var buildErr error
-	numRanks := in.NumRanks()
-	return func(ctx context.Context, tracer *obs.Tracer, ck core.Checkpointer, resume *core.Checkpoint) (*cache.Artifact, []byte, error) {
-		fp := core.OptionsFingerprint(opts)
-		var cur *obs.Span
-		step := func(phase string) error {
-			cur.End()
-			cur = nil
-			if tracer != nil {
-				cur = tracer.Phase(phase,
-					obs.Int("ranks", numRanks),
-					obs.Int("parallelism", opts.Parallelism))
-			}
-			if ctx != nil && ctx.Err() != nil {
-				return fmt.Errorf("server: %s: %w", phase, &mpi.CancelError{Cause: context.Cause(ctx)})
-			}
-			return nil
-		}
-		defer func() { cur.End() }()
-
-		// Resume honors only a checkpoint written by an identical request
-		// (fingerprint match) whose program decodes; anything else rebuilds.
-		var prog *merge.Program
-		resumed := false
-		if resume != nil && resume.Fingerprint == fp && len(resume.ProgramBytes) > 0 {
-			if p, derr := merge.Decode(resume.ProgramBytes); derr == nil {
-				prog = p
-				resumed = true
-				in.Close() // the streamed state is moot; release spill files
-				if tracer != nil {
-					sp := tracer.Phase("resume",
-						obs.String("from", resume.Phase), obs.Bool("resumed", true))
-					sp.End()
-				}
-			}
-		}
-		if !resumed {
-			if err := step("merge"); err != nil {
-				return nil, nil, err
-			}
-			buildOnce.Do(func() { builtProg, buildErr = in.Build() })
-			if buildErr != nil {
-				return nil, nil, fmt.Errorf("server: merge: %w", buildErr)
-			}
-			prog = builtProg
-		}
-		var rep *check.Report
-		if !opts.DisableCheck {
-			if err := step("check"); err != nil {
-				return nil, nil, err
-			}
-			var err error
-			rep, err = check.Verify(prog, check.Options{
-				ExactBytes:    true,
-				AbsoluteRanks: opts.Trace.AbsoluteRanks,
-			})
-			if err != nil {
-				return nil, nil, fmt.Errorf("server: check: %w", err)
-			}
-			s.countDiags(rep)
-			if rep.HasErrors() {
-				return nil, nil, fmt.Errorf("server: streamed trace failed static verification (%s)", rep.Summary())
-			}
-		}
-		if ck != nil && !resumed {
-			cp := &core.Checkpoint{Fingerprint: fp, Phase: core.PhaseMerge, ProgramBytes: prog.Encode()}
-			if rep != nil {
-				cp.CheckSummary = rep.Summary()
-			}
-			if err := ck.Save(cp); err != nil {
-				return nil, nil, &core.CheckpointError{Phase: core.PhaseMerge, Err: err}
-			}
-		}
-		var analysis []byte
-		if analyze {
-			cur.End()
-			cur = nil
-			var aerr error
-			if analysis, aerr = s.analyzeProgram(tracer, prog, opts.Platform); aerr != nil {
-				return nil, nil, aerr
-			}
-		}
-		if err := step("codegen"); err != nil {
-			return nil, nil, err
-		}
-		// Scale above 1 is rejected at session open (no whole trace to
-		// sample communication from), so unlike traceWork there is no
-		// CommSamples branch here.
-		genOpts := codegen.Options{Platform: opts.Platform, Scale: opts.Scale, Check: rep}
-		gen, err := codegen.Generate(prog, genOpts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server: generate: %w", err)
-		}
-		st := prog.Stats()
-		art := &cache.Artifact{
-			App: "trace", Ranks: numRanks,
-			CSource:   gen.CSource(),
-			Terminals: st.Terminals, Rules: st.Rules, SizeC: gen.SizeC,
-		}
-		if rep != nil {
-			art.CheckSummary = rep.Summary()
-		}
-		return art, analysis, nil
-	}
 }

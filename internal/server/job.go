@@ -156,6 +156,16 @@ func (j *job) latestResume() *core.Checkpoint {
 	return j.resume
 }
 
+// releaseInputsLocked drops what only a running job needs once the job is
+// terminal: the work function, which closes over the job's input (a
+// decoded trace, or a whole ingest session), and the last checkpoint. A
+// settled record is kept until MaxJobs pruning and must not pin either.
+// Caller holds j.mu.
+func (j *job) releaseInputsLocked() {
+	j.work = nil
+	j.resume = nil
+}
+
 // terminal reports whether the job has reached a final state.
 func (j *job) terminal() bool {
 	j.mu.Lock()

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -12,13 +11,11 @@ import (
 // One server, three requests: a serial job, an identical request at full
 // parallelism (which must hit the cache — parallelism is not part of the
 // key), and a distinct parallel job whose requested parallelism exceeds the
-// server cap. Afterwards /metrics must expose the parallelism gauge and the
-// per-phase speedup gauges.
+// server cap. Afterwards /metrics must expose the parallelism gauge.
 func TestParallelismMetricsAndCacheKey(t *testing.T) {
 	// Workers: 1 keeps job execution ordered so the "most recently started
-	// job" gauge is predictable. MaxParallelism is set explicitly: the
-	// speedup gauges need at least one serial and one parallel sample even
-	// on a single-core test runner.
+	// job" gauge is predictable. MaxParallelism is set explicitly so the
+	// clamp below is exercised even on a single-core test runner.
 	_, ts := newTestServer(t, Config{Workers: 1, MaxParallelism: 8})
 
 	// Serial job.
@@ -83,28 +80,9 @@ func TestParallelismMetricsAndCacheKey(t *testing.T) {
 	if !strings.Contains(text, "siesta_phase_parallelism 8") {
 		t.Errorf("metrics missing siesta_phase_parallelism 8:\n%s", text)
 	}
-	// One serial and one parallel job have completed, so every synthesis
-	// phase exposes a speedup gauge with a positive finite value. The
-	// parallel job ran with overlapped baseline/trace phases, so those two
-	// report on the overlap="true" series; the sequential tail phases
-	// report on overlap="false".
-	for phase, overlap := range map[string]string{
-		"baseline": "true", "trace": "true",
-		"merge": "false", "check": "false", "codegen": "false",
-	} {
-		re := regexp.MustCompile(`siesta_phase_speedup\{overlap="` + overlap + `",phase="` + phase + `"\} ([0-9.e+-]+)`)
-		mt := re.FindStringSubmatch(text)
-		if mt == nil {
-			t.Errorf("metrics missing siesta_phase_speedup for phase %q overlap=%s:\n%s", phase, overlap, text)
-			continue
-		}
-		if mt[1] == "0" {
-			t.Errorf("phase %q speedup is zero", phase)
-		}
-	}
-	// The warmup phase only exists on overlapped runs: with no serial
-	// samples it must not publish a speedup gauge at all.
-	if strings.Contains(text, `siesta_phase_speedup{overlap="true",phase="warmup"}`) {
-		t.Error("warmup phase published a speedup gauge despite having no serial samples")
+	// Speedup across unrelated jobs measures the job mix, not the
+	// pipeline, so no such gauge is exported.
+	if strings.Contains(text, "siesta_phase_speedup") {
+		t.Error("metrics still export siesta_phase_speedup")
 	}
 }

@@ -1,7 +1,7 @@
 // Package server exposes Siesta's synthesis pipeline as a long-lived
 // concurrent service: `siesta serve`. Requests name a built-in application
 // (or upload a raw trace), are admitted into a bounded job queue, and a
-// worker pool runs core.Synthesize with per-job wall-clock deadlines and
+// worker pool runs core's pipeline with per-job wall-clock deadlines and
 // context cancellation. Finished proxies land in a content-addressed
 // artifact cache keyed by the input identity plus the canonical options
 // fingerprint, so identical requests are answered without re-synthesis.
@@ -24,19 +24,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"siesta/internal/apps"
 	"siesta/internal/check"
-	"siesta/internal/codegen"
 	"siesta/internal/core"
 	"siesta/internal/durable"
 	"siesta/internal/merge"
-	"siesta/internal/mpi"
 	"siesta/internal/obs"
 	"siesta/internal/platform"
 	"siesta/internal/server/cache"
 	"siesta/internal/server/metrics"
 	"siesta/internal/statics"
-	"siesta/internal/trace"
 )
 
 // Config tunes one service instance. The zero value is usable.
@@ -168,11 +164,6 @@ type Server struct {
 	ingests    map[string]*ingestSession
 	nextIngest int
 
-	// phaseAgg accumulates per-phase wall times split by serial
-	// (parallelism 1) vs parallel jobs, backing the speedup gauges.
-	phaseMu  sync.Mutex
-	phaseAgg map[string]*phaseTimes
-
 	// metrics handles, registered once at construction
 	mAccepted, mRejected  *metrics.Counter
 	mHits, mMisses        *metrics.Counter
@@ -189,18 +180,6 @@ type Server struct {
 	hAnalyze              *metrics.Histogram
 }
 
-// phaseTimes aggregates one phase's observed wall times by execution mode.
-// Parallel samples are bucketed by whether the phase actually ran
-// overlapped with another phase (index 1) or not (index 0), so the speedup
-// gauges attribute gains to the overlap separately from worker-pool
-// parallelism.
-type phaseTimes struct {
-	serialSum float64
-	serialN   int
-	parSum    [2]float64
-	parN      [2]int
-}
-
 // New builds a service and starts its worker pool. With a StateDir
 // configured it also opens the durability layer and re-admits jobs the
 // previous incarnation left unfinished; the only error paths are state-dir
@@ -212,13 +191,12 @@ func New(cfg Config) (*Server, error) {
 		reg = metrics.NewRegistry()
 	}
 	s := &Server{
-		cfg:      cfg,
-		store:    cache.New(cfg.CacheSize),
-		reg:      reg,
-		queue:    make(chan *job, cfg.QueueDepth),
-		jobs:     make(map[string]*job),
-		ingests:  make(map[string]*ingestSession),
-		phaseAgg: make(map[string]*phaseTimes),
+		cfg:     cfg,
+		store:   cache.New(cfg.CacheSize),
+		reg:     reg,
+		queue:   make(chan *job, cfg.QueueDepth),
+		jobs:    make(map[string]*job),
+		ingests: make(map[string]*ingestSession),
 
 		mAccepted:    reg.Counter("siesta_jobs_accepted_total", "synthesis jobs admitted to the queue"),
 		mRejected:    reg.Counter("siesta_jobs_rejected_total", "synthesis jobs rejected because the queue was full"),
@@ -416,6 +394,7 @@ func (s *Server) registerCached(jb *job) {
 	jb.status = StatusDone
 	jb.cached = true
 	jb.created, jb.started, jb.finished = now, now, now
+	jb.releaseInputsLocked() // not yet shared
 	s.mu.Lock()
 	s.nextID++
 	jb.id = fmt.Sprintf("j-%06d", s.nextID)
@@ -450,6 +429,7 @@ func (s *Server) runJob(jb *job) {
 	if jb.cancelRequested {
 		cancel()
 	}
+	work := jb.work
 	jb.mu.Unlock()
 
 	s.gRunning.Add(1)
@@ -472,7 +452,7 @@ func (s *Server) runJob(jb *job) {
 		attempt := jb.attempts
 		jb.mu.Unlock()
 		s.journalRec(&durable.Record{Type: durable.TypeStarted, Job: jb.id, Attempt: attempt})
-		art, traceJSON, analysisJSON, err = s.runAttempt(ctx, jb)
+		art, traceJSON, analysisJSON, err = s.runAttempt(ctx, jb, work)
 		if err == nil || !transientErr(err) || attempt > jb.maxRetries || ctx.Err() != nil {
 			break
 		}
@@ -491,6 +471,7 @@ func (s *Server) runJob(jb *job) {
 	jb.phase = ""
 	jb.traceJSON = traceJSON
 	jb.analysisJSON = analysisJSON
+	jb.releaseInputsLocked()
 	switch {
 	case err == nil:
 		art.Key = jb.key
@@ -545,7 +526,7 @@ func (s *Server) runJob(jb *job) {
 // recorded when the request asked for a trace — they cost memory
 // proportional to the run. The observer fires on this goroutine
 // (core.Synthesize is synchronous).
-func (s *Server) runAttempt(ctx context.Context, jb *job) (*cache.Artifact, []byte, []byte, error) {
+func (s *Server) runAttempt(ctx context.Context, jb *job, work workFn) (*cache.Artifact, []byte, []byte, error) {
 	tracer := obs.New()
 	if !jb.wantTrace {
 		tracer.WithoutTimelines()
@@ -556,17 +537,8 @@ func (s *Server) runAttempt(ctx context.Context, jb *job) (*cache.Artifact, []by
 			s.logEvent("phase", map[string]any{"job": jb.id, "phase": ev.Name})
 			return
 		}
-		secs := ev.Dur.Seconds()
 		s.reg.Histogram(fmt.Sprintf("siesta_phase_seconds{phase=%q}", ev.Name),
-			"wall-clock time per pipeline phase", nil).Observe(secs)
-		overlap := false
-		for _, a := range ev.Attrs {
-			if a.Key == "overlap" {
-				overlap, _ = a.Value.(bool)
-				break
-			}
-		}
-		s.observePhase(ev.Name, secs, jb.parallelism, overlap)
+			"wall-clock time per pipeline phase", nil).Observe(ev.Dur.Seconds())
 	})
 
 	var ck core.Checkpointer
@@ -578,7 +550,7 @@ func (s *Server) runAttempt(ctx context.Context, jb *job) (*cache.Artifact, []by
 		// blobs (and retries still want the in-memory resume).
 		ck = sinkCheckpointer{s: s, jb: jb}
 	}
-	art, analysisJSON, err := jb.work(ctx, tracer, ck, jb.latestResume())
+	art, analysisJSON, err := work(ctx, tracer, ck, jb.latestResume())
 
 	// Export the recorded trace even for failed or canceled jobs: a
 	// partial timeline is exactly what debugging those needs.
@@ -629,44 +601,6 @@ func (s *Server) analyzeProgram(tracer *obs.Tracer, prog *merge.Program, plat *p
 	return json.Marshal(rep)
 }
 
-// observePhase folds one phase wall time into the serial/parallel
-// aggregates and refreshes the phase's speedup gauges (mean serial time
-// over mean parallel time) once both modes have samples. A value above 1
-// means parallel jobs clear the phase faster. The overlap label separates
-// parallel samples where the phase ran concurrently with another phase
-// (the overlapped baseline/trace runs) from plain worker-pool parallelism,
-// so a regression in either shows up on its own series.
-func (s *Server) observePhase(phase string, secs float64, parallelism int, overlap bool) {
-	s.phaseMu.Lock()
-	defer s.phaseMu.Unlock()
-	pt := s.phaseAgg[phase]
-	if pt == nil {
-		pt = &phaseTimes{}
-		s.phaseAgg[phase] = pt
-	}
-	if parallelism <= 1 {
-		pt.serialSum += secs
-		pt.serialN++
-	} else {
-		i := 0
-		if overlap {
-			i = 1
-		}
-		pt.parSum[i] += secs
-		pt.parN[i]++
-	}
-	if pt.serialN == 0 {
-		return
-	}
-	for i, n := range pt.parN {
-		if n > 0 && pt.parSum[i] > 0 {
-			speedup := (pt.serialSum / float64(pt.serialN)) / (pt.parSum[i] / float64(n))
-			s.reg.GaugeFloat(fmt.Sprintf("siesta_phase_speedup{overlap=\"%t\",phase=%q}", i == 1, phase),
-				"mean serial over mean parallel phase wall time, split by run overlap").Set(speedup)
-		}
-	}
-}
-
 // requestCancel cancels a job: queued jobs settle immediately, running jobs
 // get their context canceled and settle on the worker's path. It reports
 // whether the cancellation was accepted (false once the job is terminal).
@@ -680,6 +614,7 @@ func (s *Server) requestCancel(jb *job, byUser bool) bool {
 		jb.status = StatusCanceled
 		jb.errMsg = "canceled while queued"
 		jb.finished = time.Now()
+		jb.releaseInputsLocked()
 		s.mCancel.Inc()
 		jb.mu.Unlock()
 		// The worker discards it when it reaches the head of the queue;
@@ -754,19 +689,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // slice is the marshaled statics.Report for an analyze job, nil otherwise.
 type workFn = func(ctx context.Context, tracer *obs.Tracer, ck core.Checkpointer, resume *core.Checkpoint) (*cache.Artifact, []byte, error)
 
-// appWork prepares the work function for a built-in application request.
-func (s *Server) appWork(spec *apps.Spec, params apps.Params, opts core.Options, analyze bool) (workFn, error) {
-	fn, err := spec.Build(params)
-	if err != nil {
-		return nil, err
-	}
+// synthWork prepares the work function for one job. synth runs core's
+// pipeline on the job's input — core.Synthesize over an app,
+// core.SynthesizeTrace over an uploaded trace, core.SynthesizeIngest over
+// a committed stream — so merging, verification, checkpoints and code
+// generation are exactly the library's; the work function adds only what
+// the service layers on top: diagnostic counters, the optional analysis,
+// and the artifact named app.
+func (s *Server) synthWork(app string, synth func(core.Options) (*core.Result, error), opts core.Options, analyze bool) workFn {
 	return func(ctx context.Context, tracer *obs.Tracer, ck core.Checkpointer, resume *core.Checkpoint) (*cache.Artifact, []byte, error) {
 		opts := opts
 		opts.Context = ctx
 		opts.Tracer = tracer
 		opts.Checkpointer = ck
 		opts.Resume = resume
-		res, err := core.Synthesize(fn, opts)
+		res, err := synth(opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -779,126 +716,13 @@ func (s *Server) appWork(spec *apps.Spec, params apps.Params, opts core.Options,
 		}
 		st := res.Program.Stats()
 		art := &cache.Artifact{
-			App: spec.Name, Ranks: opts.Ranks,
+			App: app, Ranks: res.Opts.Ranks,
 			CSource:   res.Generated.CSource(),
 			Terminals: st.Terminals, Rules: st.Rules, SizeC: res.Generated.SizeC,
 			Overhead: res.Overhead,
 		}
 		if res.Check != nil {
 			art.CheckSummary = res.Check.Summary()
-		}
-		return art, analysis, nil
-	}, nil
-}
-
-// traceWork prepares the work function for an uploaded trace: the pipeline
-// minus the two simulated runs — merge, verify, generate. The merged
-// program is checkpointed through the same merge.Program codec the core
-// pipeline uses, so a restart skips straight to verification and codegen.
-func (s *Server) traceWork(tr *trace.Trace, opts core.Options, analyze bool) workFn {
-	return func(ctx context.Context, tracer *obs.Tracer, ck core.Checkpointer, resume *core.Checkpoint) (*cache.Artifact, []byte, error) {
-		fp := core.OptionsFingerprint(opts)
-		var cur *obs.Span
-		step := func(phase string) error {
-			cur.End()
-			cur = nil
-			if tracer != nil {
-				cur = tracer.Phase(phase,
-					obs.Int("ranks", len(tr.Ranks)),
-					obs.Int("parallelism", opts.Parallelism))
-			}
-			if ctx != nil && ctx.Err() != nil {
-				return fmt.Errorf("server: %s: %w", phase, &mpi.CancelError{Cause: context.Cause(ctx)})
-			}
-			return nil
-		}
-		defer func() { cur.End() }()
-
-		// Resume honors only a checkpoint written by an identical request
-		// (fingerprint match) whose program decodes; anything else recomputes.
-		var prog *merge.Program
-		resumed := false
-		if resume != nil && resume.Fingerprint == fp && len(resume.ProgramBytes) > 0 {
-			if p, derr := merge.Decode(resume.ProgramBytes); derr == nil {
-				prog = p
-				resumed = true
-				if tracer != nil {
-					sp := tracer.Phase("resume",
-						obs.String("from", resume.Phase), obs.Bool("resumed", true))
-					sp.End()
-				}
-			}
-		}
-		if !resumed {
-			if err := step("merge"); err != nil {
-				return nil, nil, err
-			}
-			var err error
-			prog, err = merge.Build(tr, opts.Merge)
-			if err != nil {
-				return nil, nil, fmt.Errorf("server: merge: %w", err)
-			}
-		}
-		// Verification always re-runs, resumed or not: its verdict is
-		// stamped into the generated header, and re-checking an identical
-		// program is cheap and yields the identical summary.
-		var rep *check.Report
-		if !opts.DisableCheck {
-			if err := step("check"); err != nil {
-				return nil, nil, err
-			}
-			var err error
-			rep, err = check.Verify(prog, check.Options{
-				ExactBytes:    true,
-				AbsoluteRanks: opts.Trace.AbsoluteRanks,
-			})
-			if err != nil {
-				return nil, nil, fmt.Errorf("server: check: %w", err)
-			}
-			s.countDiags(rep)
-			if rep.HasErrors() {
-				return nil, nil, fmt.Errorf("server: uploaded trace failed static verification (%s)", rep.Summary())
-			}
-		}
-		if ck != nil && !resumed {
-			cp := &core.Checkpoint{Fingerprint: fp, Phase: core.PhaseMerge, ProgramBytes: prog.Encode()}
-			if rep != nil {
-				cp.CheckSummary = rep.Summary()
-			}
-			if err := ck.Save(cp); err != nil {
-				return nil, nil, &core.CheckpointError{Phase: core.PhaseMerge, Err: err}
-			}
-		}
-		// The analysis, when requested, runs on the verified program; the
-		// phase span and latency observation live in analyzeProgram.
-		var analysis []byte
-		if analyze {
-			cur.End()
-			cur = nil
-			var aerr error
-			if analysis, aerr = s.analyzeProgram(tracer, prog, opts.Platform); aerr != nil {
-				return nil, nil, aerr
-			}
-		}
-		if err := step("codegen"); err != nil {
-			return nil, nil, err
-		}
-		genOpts := codegen.Options{Platform: opts.Platform, Scale: opts.Scale, Check: rep}
-		if opts.Scale > 1 {
-			genOpts.CommSamples = codegen.CollectCommSamples(tr)
-		}
-		gen, err := codegen.Generate(prog, genOpts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server: generate: %w", err)
-		}
-		st := prog.Stats()
-		art := &cache.Artifact{
-			App: "trace", Ranks: len(tr.Ranks),
-			CSource:   gen.CSource(),
-			Terminals: st.Terminals, Rules: st.Rules, SizeC: gen.SizeC,
-		}
-		if rep != nil {
-			art.CheckSummary = rep.Summary()
 		}
 		return art, analysis, nil
 	}
